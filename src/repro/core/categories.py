@@ -16,12 +16,30 @@ and computes them from ``T_H*`` in three disjoint categories:
 
 Two implementation notes, both verified against brute force by the tests:
 
-1. Eq. (10)'s subsumption condition ("no proper superset with the same
-   ``HNB``") reduces to a *single-vertex* test: ``C1`` survives iff every
-   common core neighbor ``u`` of ``C1`` strictly shrinks the periphery
-   intersection (``HNB(C1 ∪ {u}) ⊊ HNB(C1)``).  If a larger superset had
-   equal ``HNB``, any intermediate one-vertex extension would too, since
-   ``HNB`` is antitone.
+1. Eq. (10)'s ``X`` is the set of maximal cliques of an in-memory
+   *closure graph* ``B``: core plus periphery, the star graph's edges,
+   and every periphery pair made adjacent (so no periphery-periphery edge
+   is ever read from disk).  For a non-empty core clique ``C`` the
+   cliques of ``B`` with core part ``C`` are ``C ∪ Q`` with
+   ``Q ⊆ HNB(C)``; one is maximal iff ``Q = HNB(C)`` and no common core
+   neighbor ``u`` of ``C`` has ``HNB(C) ⊆ nb(u)``.  That is Eq. (10)'s
+   subsumption condition ("no proper superset with the same ``HNB``") in
+   one-vertex form: ``HNB`` is antitone, so if a larger superset had
+   equal ``HNB``, any one-vertex extension inside it would too.  Hence
+   ``X`` = the maximal cliques of ``B`` whose core part ``C`` is
+   non-empty, has non-empty ``HNB`` and is not maximal in ``G_H``.  They
+   come from a pivoted (Tomita) search split per core vertex ``v`` as in
+   ParMCE: ``v`` is the smallest core member, later core neighbors are
+   candidates, earlier ones excluded.  Only core neighbors sharing a
+   periphery vertex with ``v`` take part; periphery neighbors of ``v``
+   with equal core neighbors are true twins and share one bit; cliques
+   without a periphery vertex are dropped.  The work follows the
+   maximal cliques of each subproblem (``X``, the ``M2`` kernels and the
+   dropped ones), not the ``2^|community|`` core sub-cliques that share a
+   periphery vertex.  Each subproblem's pairs are
+   sorted by ``sorted(C)`` — the order of an ordered set enumeration over
+   core cliques — so the ``M3`` work items, and with them the clique
+   stream, are the same as a direct walk of Eq. (10) would give.
 2. Eq. (11)'s two maximality clauses are exactly "no core vertex extends
    ``C1 ∪ C2``": a periphery extension is impossible because ``C2`` is
    already maximal within ``HNB(C1)``, so the direct neighborhood test
@@ -30,6 +48,7 @@ Two implementation notes, both verified against brute force by the tests:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -37,6 +56,7 @@ from typing import Protocol
 from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.graph.adjacency import AdjacencyGraph
 from repro.core.hstar import StarGraph
+from repro.kernel.bitmce import cliques_of_masks
 
 Clique = frozenset
 
@@ -263,43 +283,76 @@ def compute_core_plus_max_cliques(
     )
 
 
-def enumerate_x_candidates(star: StarGraph) -> Iterator[tuple[Clique, Clique]]:
+def enumerate_x_candidates(star: StarGraph) -> list[tuple[Clique, Clique]]:
     """Enumerate the set ``X`` of Eq. (10) as ``(C1, HNB(C1))`` pairs.
 
     ``X`` holds the non-maximal core cliques with common periphery
     neighbors that are not subsumed by a one-vertex extension with the
-    same ``HNB`` (see the module docstring for why one vertex suffices).
-    Cliques are generated by ordered set enumeration, pruning branches
-    whose periphery intersection is already empty, so each candidate is
-    visited exactly once.
+    same ``HNB``.  They are found as maximal cliques of the closure graph
+    by one pivoted search per core vertex (note 1 of the module
+    docstring) and returned sorted by ``sorted(C1)``.
     """
-    for start in sorted(star.core):
-        shared = star.periphery_neighbors(start)
-        if not shared:
+    core = star.core
+    neighbor_lists = star.neighbor_lists
+    outside_of = {v: neighbor_lists[v] - core for v in core}
+    candidates: list[tuple[Clique, Clique]] = []
+    for v in sorted(core):
+        outside = outside_of[v]
+        if not outside:
             continue
-        extenders = frozenset(u for u in star.core_neighbors(start) if u > start)
-        yield from _grow_x(star, frozenset((start,)), shared, extenders)
-
-
-def _grow_x(
-    star: StarGraph,
-    kernel: Clique,
-    shared: Clique,
-    extenders: frozenset[int],
-) -> Iterator[tuple[Clique, Clique]]:
-    blockers = star.common_core_neighbors(kernel)
-    if blockers and all(
-        shared & star.periphery_neighbors(u) != shared for u in blockers
-    ):
-        yield kernel, shared
-    for vertex in sorted(extenders):
-        next_shared = shared & star.periphery_neighbors(vertex)
-        if not next_shared:
+        neighbors = neighbor_lists[v] & core
+        # local: v's core neighbors sharing a periphery vertex with v; no
+        # other core vertex can join a clique of X together with v.
+        local = sorted(w for w in neighbors if not outside.isdisjoint(outside_of[w]))
+        if not local:
+            # The only candidate is {v} itself, in X iff v has a core
+            # neighbor (is not maximal in G_H).
+            if neighbors:
+                candidates.append((frozenset((v,)), outside))
             continue
-        next_extenders = frozenset(
-            u for u in extenders if u > vertex and u in star.core_neighbors(vertex)
-        )
-        yield from _grow_x(star, kernel | {vertex}, next_shared, next_extenders)
+        owners: dict[int, list[int]] = {}
+        for w in local:
+            for u in outside & outside_of[w]:
+                owners.setdefault(u, []).append(w)
+        # Periphery neighbors of v with the same core neighbors in local
+        # are true twins of the subproblem: one bit per twin class.
+        keys = dict.fromkeys(tuple(key) for key in owners.values())
+        if len(owners) < len(outside):
+            keys[()] = None  # periphery neighbors of v alone
+        # Bits 0..width-1 are the local core vertices in ascending order,
+        # then one bit per twin class.
+        width = len(local)
+        position = {w: b for b, w in enumerate(local)}
+        periphery = ((1 << len(keys)) - 1) << width
+        adjacency = [0] * (width + len(keys))
+        for b, w in enumerate(local):
+            for x in position.keys() & neighbor_lists[w]:
+                adjacency[b] |= 1 << position[x]
+        for t, key in enumerate(keys, start=width):
+            bit = 1 << t
+            key_mask = 0
+            for w in key:
+                key_mask |= 1 << position[w]
+                adjacency[position[w]] |= bit
+            adjacency[t] = key_mask | (periphery ^ bit)
+        earlier = (1 << bisect_left(local, v)) - 1
+        everything = (1 << len(adjacency)) - 1
+        kernels = []
+        for clique in cliques_of_masks(adjacency, everything ^ earlier, earlier):
+            if max(clique) < width:
+                continue  # no periphery vertex: HNB(C1) is empty
+            kernel = [v, *sorted(local[b] for b in clique if b < width)]
+            # C1 is in X only if it is not maximal in G_H.
+            if neighbors.intersection(*(neighbor_lists[w] for w in kernel[1:])):
+                kernels.append(kernel)
+        kernels.sort()
+        for kernel in kernels:
+            # HNB(C1) as the walk over ascending members builds it.
+            shared = outside
+            for w in kernel[1:]:
+                shared = shared & outside_of[w]
+            candidates.append((frozenset(kernel), shared))
+    return candidates
 
 
 def _extendable_by_core(

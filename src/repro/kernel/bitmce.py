@@ -161,6 +161,21 @@ def subproblem_bitset(graph: CompactGraph, start) -> Iterator[Clique]:
     yield from out
 
 
+def cliques_of_masks(masks: list[int], candidates: int, excluded: int) -> list[Clique]:
+    """Tomita's pivoted expansion over raw adjacency masks.
+
+    ``masks[i]`` is the adjacency bitmask of bit ``i``.  Returns every
+    maximal clique grown from ``candidates`` that no vertex of
+    ``excluded`` extends, each as a frozenset of bit positions.  For
+    callers that build their own small mask graphs (see
+    :func:`repro.core.categories.enumerate_x_candidates`); no metrics are
+    recorded.
+    """
+    out: list[Clique] = []
+    _run(masks, range(len(masks)), [], candidates, excluded, out)
+    return out
+
+
 def _run(
     masks: list[int],
     labels: tuple,
@@ -243,4 +258,6 @@ def _collect(
         extension ^= low
 
 
-__all__ = ["iter_bits", "maximal_cliques_bitset", "subproblem_bitset"]
+__all__ = [
+    "cliques_of_masks", "iter_bits", "maximal_cliques_bitset", "subproblem_bitset"
+]

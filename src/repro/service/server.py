@@ -248,6 +248,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
             if line is None:
                 return
+            admitted = False
             if line == b"":
                 _METRICS().oversized.inc()
                 response = server.format_error(
@@ -257,8 +258,16 @@ class _Handler(socketserver.StreamRequestHandler):
             elif not line.strip():
                 continue
             else:
-                response = server.engine_respond(line, connection=self)
-            if not self._send_response(response):
+                response, admitted = server._respond(line, connection=self)
+            try:
+                sent = self._send_response(response)
+            finally:
+                # An admitted request holds its slot until its reply is
+                # written (or the write fails), so drain() never closes
+                # the socket under an unwritten reply.
+                if admitted:
+                    server._release()
+            if not sent:
                 return
 
     def _send_response(self, response: bytes) -> bool:
@@ -527,7 +536,22 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
 
         ``connection`` carries the per-connection subscription state; the
         stateless query operations ignore it, so tests may call this
-        method directly without a socket.
+        method directly without a socket.  The admission slot is released
+        before returning; connection handlers use :meth:`_respond` and
+        release it only once the reply is written.
+        """
+        response, admitted = self._respond(line, connection)
+        if admitted:
+            self._release()
+        return response
+
+    def _respond(
+        self, line: bytes, connection: "_Handler | None"
+    ) -> tuple[bytes, bool]:
+        """:meth:`engine_respond` minus the release: ``(reply, admitted)``.
+
+        When ``admitted`` is true the caller owns one in-flight slot and
+        must hand it back with :meth:`_release`.
         """
         bundle = _METRICS()
         bundle.requests.inc()
@@ -550,13 +574,13 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
                 )
                 payload = {"id": request_id, "ok": True, "result": value}
                 bundle.responses_ok.inc()
-                return json.dumps(payload).encode("utf-8") + b"\n"
+                return json.dumps(payload).encode("utf-8") + b"\n", False
             if op in ("subscribe", "unsubscribe"):
                 payload = self._respond_subscription(
                     op, args, request_id, connection
                 )
                 bundle.responses_ok.inc()
-                return json.dumps(payload).encode("utf-8") + b"\n"
+                return json.dumps(payload).encode("utf-8") + b"\n", False
             if not isinstance(op, str) or op not in OPERATIONS:
                 raise ValueError(
                     f"unknown operation {op!r}; choose from "
@@ -566,7 +590,7 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
             if shed_reason is not None:
                 payload = self._shed_payload(request_id, shed_reason)
                 bundle.responses_error.inc()
-                return json.dumps(payload).encode("utf-8") + b"\n"
+                return json.dumps(payload).encode("utf-8") + b"\n", False
             admitted = True
             timeout = request.get("timeout")
             result = self.engine.query(
@@ -589,10 +613,11 @@ class CliqueQueryServer(socketserver.ThreadingTCPServer):
         except (ReproError, ValueError, TypeError) as exc:
             payload = {"id": request_id, "ok": False, "error": str(exc)}
             bundle.responses_error.inc()
-        finally:
+        except BaseException:
             if admitted:
                 self._release()
-        return json.dumps(payload).encode("utf-8") + b"\n"
+            raise
+        return json.dumps(payload).encode("utf-8") + b"\n", admitted
 
     def _respond_subscription(
         self, op: str, args: dict, request_id, connection: "_Handler | None"

@@ -6,13 +6,15 @@ the same clique stream — is asserted here as bytes, over the full
 ``kernel × workers × task_grain`` matrix (plus checksum-off variants),
 together with the metrics invariants that tie each run's counters to
 its own stream.  Grain matters because ``fine`` arms work stealing:
-split chunks must still merge into the canonical order.
+split chunks must still merge into the canonical order.  The matrix runs
+on a sparse powerlaw graph and on dense defective-clique communities.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.bron_kerbosch import tomita_maximal_cliques
 from repro.generators import defective_clique_communities, powerlaw_cluster_graph
 from tests.differential.harness import (
     assert_stream_metrics_consistent,
@@ -88,6 +90,43 @@ class TestStreamMatrix:
             "repro_mce_steps_total",
         ):
             assert result.counter(name) == reference.counter(name), name
+
+
+def _dense_graph():
+    # Blocks of 20-40 vertices: the regime where the M3 lift does nearly
+    # all of ExtMCE's work.
+    return defective_clique_communities(
+        150, seed=3, community_min=20, community_max=40, background_edges=2
+    )
+
+
+@pytest.fixture(scope="module")
+def dense_reference(tmp_path_factory):
+    """Serial set-kernel stream of the dense graph, checked against Tomita."""
+    graph = _dense_graph()
+    result = run_enumeration(
+        graph, tmp_path_factory.mktemp("dense-reference"),
+        kernel="set", workers=1, verify_checksums=True,
+    )
+    assert sorted(map(sorted, result.stream)) == sorted(
+        map(sorted, tomita_maximal_cliques(graph))
+    )
+    return result
+
+
+class TestDenseCommunities:
+    @pytest.mark.parametrize("kernel, workers, grain, verify", MATRIX)
+    def test_byte_identical_stream_and_consistent_metrics(
+        self, kernel, workers, grain, verify, dense_reference, tmp_path
+    ):
+        result = run_enumeration(
+            _dense_graph(), tmp_path,
+            kernel=kernel, workers=workers, task_grain=grain,
+            verify_checksums=verify,
+        )
+        assert result.stream == dense_reference.stream
+        assert result.canonical_bytes == dense_reference.canonical_bytes
+        assert_stream_metrics_consistent(result)
 
 
 class TestOtherTopologies:

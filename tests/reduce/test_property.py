@@ -5,7 +5,7 @@ for every graph and every reduction level, enumerating the reduced graph
 and lifting through the reconstruction map yields *exactly* the maximal
 cliques of the original graph — same set, no duplicates, no impostors.
 The sweep runs well over 200 seeded graphs from every generator family
-plus hypothesis-driven arbitrary small graphs and the classic edge-case
+(dense communities also through ExtMCE) plus hypothesis-driven arbitrary small graphs and the classic edge-case
 shapes (empty, star, complete, disconnected).
 """
 
@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines.bron_kerbosch import tomita_maximal_cliques
+from repro.core.extmce import ExtMCE, ExtMCEConfig
 from repro.core.result import canonical_clique_order
 from repro.generators import (
+    defective_clique_communities,
     fringed_clique_communities,
     powerlaw_cluster_graph,
     rank_power_law_graph,
 )
 from repro.graph.adjacency import AdjacencyGraph
 from repro.reduce import ReductionMap, reduce_graph
+from repro.storage.diskgraph import DiskGraph
 from tests.helpers import cliques_of, seeded_gnp, small_graphs
 
 LEVELS = ("prune", "full")
@@ -67,6 +70,27 @@ def test_community_sweep(seed, level):
         defects=seed % 3,
     )
     assert_reduction_exact(graph, level)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_community_sweep(seed, level, tmp_path):
+    """Blocks of 20-40 vertices over a background, through ExtMCE too.
+
+    Reduction removes little here, so ExtMCE's M3 lift does nearly all
+    of the work on large dense blocks.
+    """
+    graph = defective_clique_communities(
+        90 + 15 * seed, seed, community_min=20, community_max=40, background_edges=2
+    )
+    assert_reduction_exact(graph, level)
+    disk = DiskGraph.create(tmp_path / "graph.bin", graph)
+    config = ExtMCEConfig(workdir=tmp_path, reduction=level)
+    stream = list(ExtMCE(disk, config).enumerate_cliques())
+    assert len(stream) == len(set(stream))
+    assert canonical_clique_order(stream) == canonical_clique_order(
+        tomita_maximal_cliques(graph)
+    )
 
 
 @pytest.mark.parametrize("level", LEVELS)

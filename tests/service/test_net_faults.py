@@ -195,6 +195,53 @@ class TestSlowLoris:
             index.close()
 
 
+class TestDrainDuringSlowWrite:
+    def test_drain_waits_for_an_admitted_reply_still_being_written(self, corpus):
+        """drain() never closes a socket under an admitted, unwritten reply.
+
+        ``slow_write`` trickles the reply out in eight paced chunks.  The
+        first byte on the client proves the engine has answered and the
+        write is under way; only then does drain() start.  The request
+        must still hold its admission slot, and drain() must wait for the
+        rest of the line before it disconnects.
+        """
+        _graph, cliques, directory = corpus
+        index, server = _serving(
+            directory,
+            fault_plan=_net_plan("slow_write", path="write", latency=1.0),
+        )
+        try:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b'{"id": 1, "op": "stats", "args": {}}\n')
+                first = sock.recv(1)
+                assert first
+                assert server.in_flight == 1
+                assert server.drain(10.0) is True
+                rest = sock.makefile("rb").readline()
+            reply = json.loads(first + rest)
+            assert reply["ok"] is True
+            assert reply["result"]["num_cliques"] == len(cliques)
+            assert server.in_flight == 0
+        finally:
+            server.stop()
+            index.close()
+
+    def test_direct_engine_respond_releases_its_slot(self, corpus):
+        """Callers without a socket get the reply and keep no slot."""
+        _graph, cliques, directory = corpus
+        with CliqueIndex(directory) as index:
+            server = CliqueQueryServer(CliqueQueryEngine(index), max_in_flight=1)
+            for request_id in (1, 2):
+                reply = json.loads(server.engine_respond(
+                    json.dumps({"id": request_id, "op": "stats"}).encode()
+                ))
+                assert reply["ok"] is True, reply
+                assert reply["result"]["num_cliques"] == len(cliques)
+                assert server.in_flight == 0
+            server.server_close()
+
+
 class TestAcceptStall:
     def test_stalled_accept_delays_but_serves(self, corpus):
         _graph, cliques, directory = corpus

@@ -267,8 +267,14 @@ class TestGracefulDrain:
             deadline = time.monotonic() + 5.0
             while server.in_flight < 1 and time.monotonic() < deadline:
                 time.sleep(0.005)
-            # Open a second connection BEFORE drain stops the listener.
+            # Open a second connection BEFORE drain stops the listener, and
+            # wait for a probe reply on it: connect() returns once the
+            # kernel has queued the connection, which may still be before
+            # the serve loop accepts it and starts its handler.
             straggler = socket.create_connection((host, port), timeout=5.0)
+            straggler_lines = straggler.makefile("rb")
+            straggler.sendall(b'{"id": 0, "op": "health", "args": {}}\n')
+            assert json.loads(straggler_lines.readline())["ok"] is True
             drained = {}
 
             def drain():
@@ -281,7 +287,7 @@ class TestGracefulDrain:
                 time.sleep(0.005)
             try:
                 straggler.sendall(b'{"id": 2, "op": "stats", "args": {}}\n')
-                reply = json.loads(straggler.makefile("rb").readline())
+                reply = json.loads(straggler_lines.readline())
                 assert reply["ok"] is False
                 assert reply["overloaded"] is True and reply["draining"] is True
             finally:
