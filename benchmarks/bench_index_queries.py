@@ -130,15 +130,6 @@ def main() -> int:
             "deterministic_double_build": True,
             "latency": latencies,
         }
-        existing = {}
-        if RESULT_PATH.exists():
-            try:
-                existing = json.loads(RESULT_PATH.read_text())
-            except ValueError:
-                existing = {}
-        if "service_contract" in existing:
-            # Preserve the contract test's measurements when re-running.
-            payload["service_contract"] = existing["service_contract"]
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
         print("index query smoke benchmark")

@@ -4,8 +4,10 @@ The driver owns the full per-step pipeline::
 
     extract star graph  ->  estimate / shrink  ->  build T_H*  ->
     spill h-neighbor partitions  ->  Algorithm 2 (M1 ∪ M2 ∪ M3)  ->
-    global-maximality filter via the hashtable  ->  emit  ->
-    rewrite residual graph on disk  ->  recurse
+    global-maximality filter via the hashtable  ->  emit  ->  recurse
+
+The residual graph of the next step is written during the partition
+spill's second scan, not by a scan of its own.
 
 Step 1 uses the H*-graph (Algorithm 1); every later step uses a random
 L*-graph of at most the same size (Definition 10).  The hashtable keeps
@@ -26,7 +28,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -279,7 +281,7 @@ class ExtMCE:
         except ValueError as exc:
             raise GraphError(str(exc)) from exc
         if not self._config.verify_checksums:
-            # Propagates to every residual via DiskGraph.rewrite_without.
+            # Propagates to every residual the partition build writes.
             disk_graph.verify_checksums = False
         self.report = ExtMCEReport()
 
@@ -561,14 +563,9 @@ class ExtMCE:
                 star = extract_lstar_graph(
                     current, step_target, seed=self._config.seed + step
                 )
-            yield from self._process_step(step, star, current, workdir, hashtable, step_start)
-            with metrics.get_registry().timer(
-                "repro_mce_phase_seconds", "per-step phase wall time",
-                labels={"phase": "residual_rewrite"},
-            ):
-                residual = current.rewrite_without(
-                    star.core, workdir / f"residual_{step:04d}.bin"
-                )
+            residual = yield from self._process_step(
+                step, star, current, workdir, hashtable, step_start
+            )
             if self._config.checkpoint:
                 write_checkpoint(
                     workdir,
@@ -604,7 +601,14 @@ class ExtMCE:
         workdir: Path,
         hashtable: set[Clique],
         step_start: float,
-    ) -> Iterator[Clique]:
+    ) -> Generator[Clique, None, DiskGraph]:
+        """Run one recursion step and return the residual graph ``G_{i+1}``.
+
+        The residual is written by the partition build's second scan of
+        ``current`` (Algorithm 3, Line 15 fused into Section 4.2.3's
+        spill pass), so a step reads ``G_i`` three times: star
+        extraction, and the build's two passes.
+        """
         registry = metrics.get_registry()
         tree_estimate = estimate_tree_size(
             star, num_probes=self._config.estimator_probes, seed=self._config.seed
@@ -639,7 +643,10 @@ class ExtMCE:
                     partition_budget,
                     memory=self._memory,
                     max_resident=max_resident,
+                    removed=star.core,
+                    residual_path=workdir / f"residual_{step:04d}.bin",
                 )
+            residual = store.residual
             try:
                 with registry.timer(
                     "repro_mce_phase_seconds", "per-step phase wall time",
@@ -671,6 +678,7 @@ class ExtMCE:
             step, star, tree_nodes, tree_estimate, emitted, suppressed,
             hashtable, step_start, current.num_vertices, current.num_edges,
         )
+        return residual
 
     # ------------------------------------------------------------------
     # Step hooks (overridden by repro.parallel.driver.ParallelExtMCE)

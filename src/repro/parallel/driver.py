@@ -144,10 +144,9 @@ class ParallelExtMCE(ExtMCE):
 
     def _process_step(self, step, star, current, workdir, hashtable, step_start):
         if self.workers <= 1:
-            yield from super()._process_step(
+            return (yield from super()._process_step(
                 step, star, current, workdir, hashtable, step_start
-            )
-            return
+            ))
         engine = self._ensure_engine(workdir)
         pool_started = time.perf_counter()
         descriptor = engine.publish_star(star, self._config.kernel)
@@ -161,9 +160,9 @@ class ParallelExtMCE(ExtMCE):
         ) as executor:
             self._executor = executor
             try:
-                yield from super()._process_step(
+                return (yield from super()._process_step(
                     step, star, current, workdir, hashtable, step_start
-                )
+                ))
             finally:
                 self._executor = None
                 self.executor_stats.merge(executor.stats)

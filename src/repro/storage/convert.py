@@ -12,6 +12,7 @@ sequential I/O, metered through the same accounting as everything else.
 from __future__ import annotations
 
 import heapq
+import itertools
 import struct
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -94,7 +95,9 @@ def _spill_sorted_runs(
             return
         buffer.sort()
         run = PageStore(workdir / f"sort_run_{len(runs):05d}.bin", stats)
-        run.write_all(b"".join(_PAIR.pack(u, v) for u, v in buffer))
+        run.write_all(
+            struct.pack(f"<{2 * len(buffer)}Q", *itertools.chain.from_iterable(buffer))
+        )
         runs.append(run)
         buffer.clear()
 
@@ -116,13 +119,16 @@ def _spill_sorted_runs(
 
 
 def _scan_pairs(run: PageStore) -> Iterator[tuple[int, int]]:
-    """Stream one run's sorted pairs."""
+    """Stream one run's sorted pairs.
+
+    Each chunk's whole-pair prefix is decoded by one ``iter_unpack``; a
+    pair split across chunks is carried into the next one.
+    """
     pending = b""
     for chunk in run.scan_chunks():
-        data = pending + chunk
+        data = pending + chunk if pending else chunk
         usable = len(data) - (len(data) % _PAIR.size)
-        for offset in range(0, usable, _PAIR.size):
-            yield _PAIR.unpack_from(data, offset)
+        yield from _PAIR.iter_unpack(memoryview(data)[:usable])
         pending = data[usable:]
     if pending:
         raise StorageError(f"run file {run.path} has a truncated pair record")

@@ -34,8 +34,12 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.storage.format import (
     FILE_MAGIC,
     FILE_MAGIC_V2,
+    NEIGHBOR_STRUCTS,
+    RECORD_HEADER,
     VertexRecord,
+    checksum_mismatch,
     count_checksum_failure,
+    count_verified,
     decode_record,
     encode_record,
     record_size,
@@ -137,7 +141,7 @@ class DiskGraph:
             previous_vertex = vertex
             num_vertices += 1
             directed_degree_total += len(neighbors)
-            buffer += encode_record(vertex, neighbors, original_degree, checksum=checksum)
+            buffer += encode_record(vertex, neighbors, original_degree, checksum)
             if len(buffer) >= 1 << 20:
                 store.append(bytes(buffer))
                 buffer.clear()
@@ -258,27 +262,53 @@ class DiskGraph:
     # Access
     # ------------------------------------------------------------------
     def scan(self) -> Iterator[VertexRecord]:
-        """Stream all records in vertex order (one metered sequential scan)."""
+        """Stream all records in vertex order (one metered sequential scan).
+
+        Each chunk is decoded in place: the header and the neighbor block
+        are unpacked straight from the chunk buffer with compiled structs,
+        and a v2 record's CRC32 is computed over a memoryview slice, so no
+        record is copied before it becomes a :class:`VertexRecord`.  Only
+        the partial record at a chunk's end is carried into the next one.
+        Verified records are counted once per chunk, in a ``finally``, so
+        a consumer that stops early is still counted exactly.
+        """
         self._store.io_stats.record_scan()
+        trailer = _CRC.size if self._checksummed else 0
+        verify = self._checksummed and self._verify
+        unpack_header = RECORD_HEADER.unpack_from
+        unpack_crc = _CRC.unpack_from
+        neighbor_structs = NEIGHBOR_STRUCTS
+        crc32 = zlib.crc32
+        new_record = tuple.__new__
         pending = bytearray()
-        chunks = self._store.scan_chunks()
-        # Drop the fixed-size header from the first chunk.
-        to_skip = self.header_bytes
-        for chunk in chunks:
-            if to_skip:
-                skip = min(to_skip, len(chunk))
-                chunk = chunk[skip:]
-                to_skip -= skip
-                if not chunk:
-                    continue
+        to_skip = self.header_bytes  # the file header precedes the records
+        for chunk in self._store.scan_chunks():
             pending += chunk
-            offset = 0
-            while True:
-                record, next_offset = self._try_decode(pending, offset)
-                if record is None:
-                    break
-                offset = next_offset
-                yield record
+            offset = min(to_skip, len(pending))
+            to_skip -= offset
+            available = len(pending)
+            verified = 0
+            view = memoryview(pending)
+            try:
+                while offset + 16 <= available:
+                    vertex, degree, original_degree = unpack_header(pending, offset)
+                    body_end = offset + 16 + 8 * degree
+                    record_end = body_end + trailer
+                    if record_end > available:
+                        break
+                    neighbors = neighbor_structs[degree].unpack_from(pending, offset + 16)
+                    if verify:
+                        verified += 1
+                        (stored,) = unpack_crc(pending, body_end)
+                        computed = crc32(view[offset:body_end])
+                        if stored != computed:
+                            raise checksum_mismatch(vertex, stored, computed)
+                    offset = record_end
+                    yield new_record(VertexRecord, (vertex, original_degree, neighbors))
+            finally:
+                view.release()  # the buffer cannot shrink while exported
+                if verified:
+                    count_verified(verified)
             del pending[:offset]
         if pending:
             raise StorageFormatError(f"{len(pending)} trailing bytes after final record")
@@ -313,18 +343,10 @@ class DiskGraph:
         of this file and one sequential write of the new one.  Original
         degrees, the verify setting and any fault plan carry over.
         """
-        removed_set = set(removed)
-
-        def residual_records() -> Iterator[tuple[int, list[int], int]]:
-            for record in self.scan():
-                if record.vertex in removed_set:
-                    continue
-                survivors = [u for u in record.neighbors if u not in removed_set]
-                yield record.vertex, survivors, record.original_degree
-
         return DiskGraph.from_records(
-            new_path, residual_records(), io_stats=self.io_stats,
-            fault_plan=self.fault_plan, verify_checksums=self._verify,
+            new_path, without_vertices(self.scan(), set(removed)),
+            io_stats=self.io_stats, fault_plan=self.fault_plan,
+            verify_checksums=self._verify,
         )
 
     def to_adjacency_graph(self) -> AdjacencyGraph:
@@ -346,23 +368,24 @@ class DiskGraph:
             f"m={self._num_edges})"
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _try_decode(
-        self, buffer: bytearray, offset: int
-    ) -> tuple[VertexRecord | None, int]:
-        """Decode a record if the buffer holds it completely."""
-        header_end = offset + 16  # <QII
-        if header_end > len(buffer):
-            return None, offset
-        degree = int.from_bytes(buffer[offset + 8 : offset + 12], "little")
-        nbytes = self.record_nbytes(degree)
-        if offset + nbytes > len(buffer):
-            return None, offset
-        record, consumed = decode_record(
-            bytes(buffer[offset : offset + nbytes]),
-            checksum=self._checksummed,
-            verify=self._verify,
-        )
-        return record, offset + consumed
+
+def without_vertices(
+    records: Iterable[VertexRecord], removed: set[int]
+) -> Iterator[tuple[int, tuple[int, ...] | list[int], int]]:
+    """The residual-graph records of ``records`` after deleting ``removed``.
+
+    Drops every removed vertex's record and every edge into the removed
+    set, keeping original degrees; the output feeds
+    :meth:`DiskGraph.from_records`.  This is the one survivor filter of
+    Algorithm 3's shrink step, shared by :meth:`DiskGraph.rewrite_without`
+    and the fused partition pass of
+    :meth:`repro.storage.partitions.HnbPartitionStore.build`, so both
+    write byte-identical residuals.
+    """
+    for record in records:
+        vertex, original_degree, neighbors = record
+        if vertex in removed:
+            continue
+        if not removed.isdisjoint(neighbors):
+            neighbors = [u for u in neighbors if u not in removed]
+        yield vertex, neighbors, original_degree

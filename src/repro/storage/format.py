@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro import metrics
 from repro.errors import CorruptDataError, StorageFormatError
 
-_HEADER = struct.Struct("<QII")
+#: Record header: vertex id, current degree, original degree.
+RECORD_HEADER = struct.Struct("<QII")
 _CRC = struct.Struct("<I")
 
 #: Integrity counters: verified records and detected CRC mismatches.
@@ -55,9 +55,38 @@ FILE_MAGIC = b"HSTARGR1"
 FILE_MAGIC_V2 = b"HSTARGR2"
 
 
-@dataclass(frozen=True)
-class VertexRecord:
-    """A decoded on-disk adjacency record."""
+class _StructCache(dict):
+    """``cache[n]`` is a compiled :class:`struct.Struct` for ``n`` items.
+
+    Degrees repeat heavily across a graph, so compiling each layout once
+    turns every neighbor-block pack/unpack into a single C call without a
+    format-string build.  Bounded by the number of distinct degrees.
+    """
+
+    def __init__(self, template: str) -> None:
+        super().__init__()
+        self._template = template
+
+    def __missing__(self, count: int) -> struct.Struct:
+        compiled = self[count] = struct.Struct(self._template.format(count))
+        return compiled
+
+
+#: Little-endian ``count x uint64`` neighbor blocks, by count (shared with
+#: the partition spill codec in :mod:`repro.storage.partitions`).
+NEIGHBOR_STRUCTS = _StructCache("<{}Q")
+
+#: Header plus neighbor block of a whole record, by degree.
+_RECORD_STRUCTS = _StructCache("<QII{}Q")
+
+
+class VertexRecord(NamedTuple):
+    """A decoded on-disk adjacency record.
+
+    Decode loops build it with ``tuple.__new__(VertexRecord, (...))``,
+    which skips the NamedTuple constructor's Python-level argument
+    handling on the per-record path.
+    """
 
     vertex: int
     original_degree: int
@@ -80,18 +109,25 @@ def encode_record(
     Raises :class:`~repro.errors.StorageFormatError` for ids that do not
     fit the fixed-width layout.
     """
-    if vertex < 0:
-        raise StorageFormatError(f"vertex ids must be non-negative, got {vertex}")
-    if original_degree < 0:
-        raise StorageFormatError(f"original degree must be non-negative, got {original_degree}")
     try:
-        header = _HEADER.pack(vertex, len(neighbors), original_degree)
-        body = struct.pack(f"<{len(neighbors)}Q", *neighbors)
+        packed = _RECORD_STRUCTS[len(neighbors)].pack(
+            vertex, len(neighbors), original_degree, *neighbors
+        )
     except struct.error as exc:
-        raise StorageFormatError(f"record for vertex {vertex} failed to encode: {exc}") from exc
+        if vertex < 0:
+            raise StorageFormatError(
+                f"vertex ids must be non-negative, got {vertex}"
+            ) from None
+        if original_degree < 0:
+            raise StorageFormatError(
+                f"original degree must be non-negative, got {original_degree}"
+            ) from None
+        raise StorageFormatError(
+            f"record for vertex {vertex} failed to encode: {exc}"
+        ) from exc
     if not checksum:
-        return header + body
-    return header + body + _CRC.pack(zlib.crc32(header + body))
+        return packed
+    return packed + _CRC.pack(zlib.crc32(packed))
 
 
 def decode_record(
@@ -107,35 +143,47 @@ def decode_record(
     Raises :class:`~repro.errors.StorageFormatError` on truncation and
     :class:`~repro.errors.CorruptDataError` on a CRC mismatch.
     """
-    end = offset + _HEADER.size
+    end = offset + RECORD_HEADER.size
     if end > len(buffer):
         raise StorageFormatError("truncated record header")
-    vertex, degree, original_degree = _HEADER.unpack_from(buffer, offset)
+    vertex, degree, original_degree = RECORD_HEADER.unpack_from(buffer, offset)
     body_end = end + 8 * degree
     if body_end > len(buffer):
         raise StorageFormatError(
             f"truncated record body for vertex {vertex}: "
             f"need {8 * degree} bytes, have {len(buffer) - end}"
         )
-    neighbors = struct.unpack_from(f"<{degree}Q", buffer, end)
+    neighbors = NEIGHBOR_STRUCTS[degree].unpack_from(buffer, end)
     if checksum:
         crc_end = body_end + _CRC.size
         if crc_end > len(buffer):
             raise StorageFormatError(f"truncated record checksum for vertex {vertex}")
         if verify:
+            count_verified(1)
             (stored,) = _CRC.unpack_from(buffer, body_end)
-            computed = zlib.crc32(buffer[offset:body_end])
-            bundle = _CHECKSUM_METRICS()
-            bundle["verified"].inc()
+            computed = zlib.crc32(memoryview(buffer)[offset:body_end])
             if stored != computed:
-                bundle["failures"].inc()
-                raise CorruptDataError(
-                    f"checksum mismatch for vertex {vertex}: "
-                    f"stored {stored:#010x}, computed {computed:#010x}"
-                )
+                raise checksum_mismatch(vertex, stored, computed)
         body_end = crc_end
-    record = VertexRecord(vertex=vertex, original_degree=original_degree, neighbors=neighbors)
-    return record, body_end
+    return tuple.__new__(VertexRecord, (vertex, original_degree, neighbors)), body_end
+
+
+def count_verified(records: int) -> None:
+    """Add ``records`` to ``repro_storage_records_verified_total``.
+
+    Decode loops count locally and report once per chunk, keeping the
+    metric lookup off the per-record path.
+    """
+    _CHECKSUM_METRICS()["verified"].inc(records)
+
+
+def checksum_mismatch(vertex: int, stored: int, computed: int) -> CorruptDataError:
+    """Count a record CRC mismatch and return the typed error to raise."""
+    count_checksum_failure()
+    return CorruptDataError(
+        f"checksum mismatch for vertex {vertex}: "
+        f"stored {stored:#010x}, computed {computed:#010x}"
+    )
 
 
 def count_checksum_failure() -> None:
@@ -150,4 +198,4 @@ def count_checksum_failure() -> None:
 
 def record_size(degree: int, checksum: bool = False) -> int:
     """Size in bytes of a record with the given current degree."""
-    return _HEADER.size + 8 * degree + (_CRC.size if checksum else 0)
+    return RECORD_HEADER.size + 8 * degree + (_CRC.size if checksum else 0)

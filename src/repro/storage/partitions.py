@@ -9,10 +9,13 @@ partition at a time.
 
 This module reproduces that machinery over :class:`DiskGraph`:
 
-* :meth:`HnbPartitionStore.build` performs two sequential scans of ``G`` —
-  one to learn each h-neighbor's within-``Hnb`` degree (needed to place
-  partition boundaries; the paper assumes this is known), one to write the
-  partition files.
+* :meth:`HnbPartitionStore.build` performs two sequential scans of ``G``.
+  The first learns each h-neighbor's within-``Hnb`` degree (needed to
+  place partition boundaries; the paper assumes this is known).  The
+  second writes the partition files and, when the caller names a removed
+  vertex set and a residual path, also streams the residual graph
+  (Algorithm 3, Line 15) through the same records, so the recursion
+  step's shrink costs no scan of its own.
 * :meth:`HnbPartitionStore.induced_subgraph` serves an ``HNB`` set by
   loading the partitions that contain its members, charging resident
   partitions to the memory model and evicting least-recently-used ones.
@@ -22,27 +25,33 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 from repro.errors import CorruptDataError, StorageError, StorageFormatError
 from repro.graph.adjacency import AdjacencyGraph
-from repro.storage.diskgraph import DiskGraph
+from repro.storage.diskgraph import DiskGraph, without_vertices
+from repro.storage.format import NEIGHBOR_STRUCTS, VertexRecord, count_checksum_failure
 from repro.storage.memory import MemoryModel
 from repro.storage.pagestore import PageStore
 
-#: Per-record header: vertex id, neighbor count, CRC32 over the neighbor
-#: block.  Spill files are written and read within one run, so the layout
-#: needs no version negotiation — but it does need integrity: a torn
-#: write or flipped bit in a partition would otherwise surface as a wrong
-#: ``maxCL`` result, i.e. a silently wrong clique stream.
+#: Per-record header: vertex id, neighbor count, CRC32 over the id, the
+#: count and the neighbor block.  Spill files are written and read within
+#: one run, so the layout needs no version negotiation — but it does need
+#: integrity: a torn write or flipped bit in a partition (the vertex id
+#: included) would otherwise surface as a wrong ``maxCL`` result, i.e. a
+#: silently wrong clique stream.
 _RECORD_HEADER = struct.Struct("<QII")
+#: The checksummed part of the header: vertex id and neighbor count.
+_ID_COUNT = struct.Struct("<QI")
+_CRC = struct.Struct("<I")
 
 
 def encode_partition_record(vertex: int, neighbors: Sequence[int]) -> bytes:
     """Serialise one spill-file record (checksummed)."""
-    body = struct.pack(f"<{len(neighbors)}Q", *neighbors)
-    return _RECORD_HEADER.pack(vertex, len(neighbors), zlib.crc32(body)) + body
+    head = _ID_COUNT.pack(vertex, len(neighbors))
+    body = NEIGHBOR_STRUCTS[len(neighbors)].pack(*neighbors)
+    return head + _CRC.pack(zlib.crc32(body, zlib.crc32(head))) + body
 
 
 def parse_partition_records(
@@ -50,33 +59,40 @@ def parse_partition_records(
 ) -> dict[int, frozenset[int]]:
     """Decode a partition file's record stream to ``vertex -> neighbors``.
 
-    Raises :class:`~repro.errors.StorageFormatError` on truncation and
-    :class:`~repro.errors.CorruptDataError` on a checksum mismatch —
-    never returns a partial or damaged adjacency silently.
+    Decodes in place (compiled structs over the buffer, CRC32 over
+    memoryview slices).  Raises :class:`~repro.errors.StorageFormatError`
+    on truncation and :class:`~repro.errors.CorruptDataError` on a
+    checksum mismatch — never returns a partial or damaged adjacency
+    silently.
     """
     loaded: dict[int, frozenset[int]] = {}
+    unpack_header = _RECORD_HEADER.unpack_from
+    crc32 = zlib.crc32
+    end = len(data)
     offset = 0
-    while offset < len(data):
-        try:
-            vertex, degree, stored = _RECORD_HEADER.unpack_from(data, offset)
-            offset += _RECORD_HEADER.size
-            body = data[offset : offset + 8 * degree]
-            if len(body) < 8 * degree:
+    with memoryview(data) as view:
+        while offset < end:
+            if offset + _RECORD_HEADER.size > end:
+                raise StorageFormatError(
+                    f"malformed partition record: truncated header at byte {offset}"
+                )
+            vertex, degree, stored = unpack_header(data, offset)
+            head = offset
+            body = offset + _RECORD_HEADER.size
+            offset = body + 8 * degree
+            if offset > end:
                 raise StorageFormatError(
                     f"truncated partition record for vertex {vertex}"
                 )
-            neighbors = struct.unpack(f"<{degree}Q", body)
-        except struct.error as exc:
-            raise StorageFormatError(f"malformed partition record: {exc}") from exc
-        if verify:
-            computed = zlib.crc32(body)
-            if stored != computed:
-                raise CorruptDataError(
-                    f"partition record checksum mismatch for vertex {vertex}: "
-                    f"stored {stored:#010x}, computed {computed:#010x}"
-                )
-        offset += 8 * degree
-        loaded[vertex] = frozenset(neighbors)
+            if verify:
+                computed = crc32(view[body:offset], crc32(view[head : head + _ID_COUNT.size]))
+                if stored != computed:
+                    count_checksum_failure()
+                    raise CorruptDataError(
+                        f"partition record checksum mismatch for vertex {vertex}: "
+                        f"stored {stored:#010x}, computed {computed:#010x}"
+                    )
+            loaded[vertex] = frozenset(NEIGHBOR_STRUCTS[degree].unpack_from(data, body))
     return loaded
 
 
@@ -108,6 +124,7 @@ class HnbPartitionStore:
         stores: list[PageStore],
         memory: MemoryModel | None,
         max_resident: int,
+        residual: DiskGraph | None = None,
     ) -> None:
         self._directory = directory
         self._partitions = partitions
@@ -122,6 +139,10 @@ class HnbPartitionStore:
         self._resident_units: dict[int, int] = {}
         self._lru: list[int] = []
         self.partition_loads = 0
+        #: The residual graph the build's second pass wrote (``None``
+        #: unless :meth:`build` was given a ``residual_path``).  It
+        #: outlives :meth:`close`, which only deletes the spill files.
+        self.residual = residual
         if memory is not None:
             memory.add_reclaimer(self._reclaim_one)
 
@@ -137,12 +158,20 @@ class HnbPartitionStore:
         memory_budget_units: int,
         memory: MemoryModel | None = None,
         max_resident: int = 4,
+        removed: Iterable[int] = (),
+        residual_path: str | Path | None = None,
     ) -> "HnbPartitionStore":
         """Spill the within-``members`` adjacency of ``disk_graph``.
 
         ``members`` is the h-neighbor list in DFS-leaf order (duplicates
         allowed; first occurrence wins).  ``memory_budget_units`` bounds
         the size of each partition, measured in stored vertex ids.
+
+        With ``residual_path`` set, the second scan also writes the
+        residual graph of ``disk_graph`` without ``removed`` there — the
+        same bytes :meth:`DiskGraph.rewrite_without` writes, with the
+        source's verify setting and fault plan — and the store exposes it
+        as :attr:`residual`.
         """
         if memory_budget_units <= 0:
             raise StorageError(
@@ -151,13 +180,12 @@ class HnbPartitionStore:
         ordered = list(dict.fromkeys(members))
         member_set = set(ordered)
 
-        # Pass 1: within-member degree of each member.
+        # Pass 1: within-member degree of each member (adjacency lists
+        # hold no duplicates, so the intersection size is the count).
         inner_degree = {v: 0 for v in ordered}
         for record in disk_graph.scan():
             if record.vertex in member_set:
-                inner_degree[record.vertex] = sum(
-                    1 for u in record.neighbors if u in member_set
-                )
+                inner_degree[record.vertex] = len(member_set.intersection(record.neighbors))
 
         # Place partition boundaries along the DFS order.
         partitions: list[list[int]] = []
@@ -174,7 +202,8 @@ class HnbPartitionStore:
         if current:
             partitions.append(current)
 
-        # Pass 2: write each member's within-member adjacency to its file.
+        # Pass 2: write each member's within-member adjacency to its file,
+        # and the residual graph alongside when one is asked for.
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         partition_of = {
@@ -191,19 +220,36 @@ class HnbPartitionStore:
         for store in stores:
             store.write_all(b"")
         buffers: list[bytearray] = [bytearray() for _ in partitions]
-        for record in disk_graph.scan():
-            index = partition_of.get(record.vertex)
-            if index is None:
-                continue
-            inner = [u for u in record.neighbors if u in member_set]
-            buffers[index] += encode_partition_record(record.vertex, inner)
-            if len(buffers[index]) >= 1 << 20:
-                stores[index].append(bytes(buffers[index]))
-                buffers[index].clear()
+
+        def spill(records: Iterable[VertexRecord]) -> Iterator[VertexRecord]:
+            """Pass every record through, spilling members on the way."""
+            for record in records:
+                index = partition_of.get(record.vertex)
+                if index is not None:
+                    inner = [u for u in record.neighbors if u in member_set]
+                    buffer = buffers[index]
+                    buffer += encode_partition_record(record.vertex, inner)
+                    if len(buffer) >= 1 << 20:
+                        stores[index].append(bytes(buffer))
+                        buffer.clear()
+                yield record
+
+        residual = None
+        if residual_path is None:
+            for _ in spill(disk_graph.scan()):
+                pass
+        else:
+            residual = DiskGraph.from_records(
+                residual_path,
+                without_vertices(spill(disk_graph.scan()), set(removed)),
+                io_stats=disk_graph.io_stats,
+                fault_plan=disk_graph.fault_plan,
+                verify_checksums=disk_graph.verify_checksums,
+            )
         for store, buffer in zip(stores, buffers):
             if buffer:
                 store.append(bytes(buffer))
-        return cls(directory, partitions, stores, memory, max_resident)
+        return cls(directory, partitions, stores, memory, max_resident, residual)
 
     # ------------------------------------------------------------------
     # Queries

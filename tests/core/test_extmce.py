@@ -198,3 +198,28 @@ class TestDeterminism:
         stats_a = [(s.core_size, s.star_edges, s.cliques_emitted) for s in algo_a.report.steps]
         stats_b = [(s.core_size, s.star_edges, s.cliques_emitted) for s in algo_b.report.steps]
         assert stats_a == stats_b
+
+
+class TestScansPerStep:
+    """Each step reads ``G_i`` three times: star extraction and the
+    partition build's two passes, the second of which also writes the
+    residual graph (no separate rewrite scan)."""
+
+    @pytest.mark.parametrize("graph_seed", [9, 21])
+    def test_three_scans_per_step(self, tmp_path, graph_seed):
+        graph = seeded_gnp(150, 0.08, seed=graph_seed)
+        _, algo = run_extmce(graph, tmp_path)
+        report = algo.report
+        assert report.num_recursions >= 3
+        assert report.sequential_scans == 3 * report.num_recursions
+
+    def test_partition_build_phase_covers_the_residual_write(self, tmp_path, live_metrics):
+        graph = seeded_gnp(150, 0.08, seed=9)
+        run_extmce(graph, tmp_path)
+        phases = {
+            entry["labels"].get("phase")
+            for entry in live_metrics.snapshot()["metrics"]
+            if entry["name"] == "repro_mce_phase_seconds"
+        }
+        assert "partition_build" in phases
+        assert "residual_rewrite" not in phases

@@ -141,6 +141,30 @@ class TestStorageFaultsEndToEnd:
         # residual write, which now succeeds: the rule disarmed).
         assert resume_and_splice(emitted, work) == expected
 
+    @pytest.mark.parametrize(
+        "kind, target",
+        [
+            ("io_error", "residual_0002"),
+            ("torn_write", "residual_0002"),
+            ("io_error", "partitions_0002"),
+        ],
+    )
+    def test_write_fault_in_fused_partition_pass(self, graph, tmp_path, kind, target):
+        # Step 2's partition build writes the spill files and the step-2
+        # residual in one pass over G_2; a write fault there must fail
+        # typed, leave the step-1 checkpoint, and resume exactly.
+        expected = baseline_stream(graph, tmp_path)
+        plan = FaultPlan([FaultRule("write", kind, path_contains=target)], seed=2)
+        emitted, error, work, _ = faulted_run(graph, tmp_path, storage_plan=plan)
+        assert isinstance(error, ReproError)
+        assert len(plan.firings) == 1
+        state = read_checkpoint(work)
+        assert state.completed_step == 1
+        # The pass runs before the step's lift: nothing of step 2 was
+        # emitted when it failed.
+        assert len(emitted) == state.cliques_emitted
+        assert resume_and_splice(emitted, work) == expected
+
     def test_latency_only_schedule_is_harmless(self, graph, tmp_path):
         expected = baseline_stream(graph, tmp_path)
         plan = FaultPlan(

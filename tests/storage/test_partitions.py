@@ -123,3 +123,57 @@ class TestResidencyAndMemory:
         store = build(disk, tmp_path, [2, 3])
         store.close()
         assert not any((tmp_path / "parts").glob("*.bin"))
+
+
+class TestFusedResidual:
+    """The build's second pass can also write the residual graph."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_residual_byte_identical_to_rewrite_without(self, tmp_path, seed):
+        g = seeded_gnp(400, 0.05, seed=seed)
+        disk = DiskGraph.create(tmp_path / "g.bin", g)
+        removed = set(range(0, 400, 3 + seed))
+        members = [v for v in range(400) if v not in removed][::2]
+        store = HnbPartitionStore.build(
+            disk, members, tmp_path / "parts", 200,
+            removed=removed, residual_path=tmp_path / "fused.bin",
+        )
+        expected = disk.rewrite_without(removed, tmp_path / "plain.bin")
+        assert store.residual.path.read_bytes() == expected.path.read_bytes()
+        assert store.residual.num_vertices == expected.num_vertices
+        assert store.residual.num_edges == expected.num_edges
+        store.close()
+        assert store.residual.path.exists()  # close deletes spill files only
+
+    def test_spill_files_unchanged_by_the_residual(self, tmp_path):
+        g = seeded_gnp(120, 0.1, seed=4)
+        disk = DiskGraph.create(tmp_path / "g.bin", g)
+        members = list(range(20, 100))
+        plain = HnbPartitionStore.build(disk, members, tmp_path / "a", 150)
+        fused = HnbPartitionStore.build(
+            disk, members, tmp_path / "b", 150,
+            removed=range(10), residual_path=tmp_path / "r.bin",
+        )
+        assert plain.residual is None
+        assert [p.read_bytes() for p in plain.partition_paths()] == [
+            p.read_bytes() for p in fused.partition_paths()
+        ]
+
+    def test_fused_build_makes_two_scans(self, tmp_path):
+        g = seeded_gnp(120, 0.1, seed=4)
+        disk = DiskGraph.create(tmp_path / "g.bin", g)
+        before = disk.io_stats.sequential_scans
+        HnbPartitionStore.build(
+            disk, list(range(20, 100)), tmp_path / "parts", 150,
+            removed=range(10), residual_path=tmp_path / "r.bin",
+        )
+        assert disk.io_stats.sequential_scans == before + 2
+
+    def test_residual_inherits_verify_setting(self, tmp_path):
+        g = seeded_gnp(60, 0.1, seed=5)
+        disk = DiskGraph.create(tmp_path / "g.bin", g, verify_checksums=False)
+        store = HnbPartitionStore.build(
+            disk, list(range(30)), tmp_path / "parts", 100,
+            removed=range(5), residual_path=tmp_path / "r.bin",
+        )
+        assert store.residual.verify_checksums is False
